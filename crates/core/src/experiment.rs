@@ -9,6 +9,8 @@
 //! decides whether the receiver can distinguish the two cases — the
 //! attack succeeds iff `p < 0.05`.
 
+use std::sync::OnceLock;
+
 use vpsim_chaos::ChaosConfig;
 use vpsim_mem::MemoryConfig;
 use vpsim_obs::TraceSink;
@@ -375,7 +377,7 @@ fn run_trial_inner(
             observed = last_window.expect("observed step must contain an rdtsc pair") as f64;
         }
         // A third process gets scheduled between the attack's steps.
-        if let Some(noise) = &noise {
+        if let Some(noise) = noise {
             if i + 1 < trial.steps.len() {
                 let r = run(&mut machine, 3, noise, "background noise", &mut tracer)?;
                 total_cycles += r.cycles;
@@ -392,7 +394,13 @@ fn run_trial_inner(
 
 /// The background process: sweeps its own working set with flushed
 /// loads, dirtying caches, the TLB and the predictor's own entries.
-fn noise_program() -> vpsim_isa::Program {
+/// Built once and shared by every trial.
+fn noise_program() -> &'static vpsim_isa::Program {
+    static NOISE: OnceLock<vpsim_isa::Program> = OnceLock::new();
+    NOISE.get_or_init(build_noise_program)
+}
+
+fn build_noise_program() -> vpsim_isa::Program {
     use vpsim_isa::{ProgramBuilder, Reg};
     let mut b = ProgramBuilder::new();
     b.li(Reg::R1, 0x300_000)

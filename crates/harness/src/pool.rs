@@ -167,6 +167,10 @@ impl Shared<'_> {
     fn resolve(&self, index: usize, result: Result<JobDone, JobFailure>) {
         self.results.lock().expect("results poisoned")[index] = Some(result);
         if self.outstanding.fetch_sub(1, Ordering::AcqRel) == 1 {
+            // Under the queue lock: `pop` checks `done` and then waits
+            // while holding it, so the store cannot land between the two
+            // and leave a worker asleep for good.
+            let _queue = self.queue.lock().expect("queue poisoned");
             self.done.store(true, Ordering::Release);
             self.cond.notify_all();
         }
@@ -361,7 +365,10 @@ fn watchdog(shared: &Shared<'_>, campaign: &str, total: usize, resumed: usize) {
                     shared.exec.campaign_deadline.unwrap_or_default()
                 );
             }
-            // Wake gated sleepers so the queue drains immediately.
+            // Wake gated sleepers so the queue drains immediately. The
+            // queue lock orders this after any `pop` that read `expired`
+            // as false but has not yet started waiting.
+            let _queue = shared.queue.lock().expect("queue poisoned");
             shared.cond.notify_all();
         }
         for slot in shared
@@ -484,12 +491,19 @@ pub(crate) fn run_jobs(
         on_done,
     };
     std::thread::scope(|scope| {
-        for slot in 0..exec.effective_jobs() {
-            let shared = &shared;
-            scope.spawn(move || worker(shared, slot));
-        }
         let shared = &shared;
-        scope.spawn(move || watchdog(shared, batch.campaign, batch.total_jobs, batch.resumed));
+        for slot in 0..exec.effective_jobs() {
+            std::thread::Builder::new()
+                .name(format!("pool-worker-{slot}"))
+                .spawn_scoped(scope, move || worker(shared, slot))
+                .expect("failed to spawn pool worker");
+        }
+        std::thread::Builder::new()
+            .name("pool-watchdog".to_owned())
+            .spawn_scoped(scope, move || {
+                watchdog(shared, batch.campaign, batch.total_jobs, batch.resumed);
+            })
+            .expect("failed to spawn pool watchdog");
     });
     shared.results.into_inner().expect("results poisoned")
 }

@@ -6,8 +6,8 @@
 //! everything the attacks observe — hit/miss latency, evictions, and
 //! flush behaviour.
 
-use crate::config::{CacheGeometry, ReplacementKind};
-use crate::replacement::{Lru, RandomRepl, ReplacementPolicy, TreePlru};
+use crate::config::CacheGeometry;
+use crate::replacement::Replacement;
 use crate::stats::CacheStats;
 use crate::Addr;
 
@@ -18,6 +18,21 @@ struct Line {
     dirty: bool,
     /// Full line address (address with the offset bits cleared).
     line_addr: Addr,
+}
+
+impl Line {
+    /// Whether this way holds `line_addr`.
+    fn holds(self, line_addr: Addr) -> bool {
+        self.valid && self.line_addr == line_addr
+    }
+
+    /// The eviction record for this (valid) line.
+    fn eviction(self) -> Eviction {
+        Eviction {
+            line_addr: self.line_addr,
+            dirty: self.dirty,
+        }
+    }
 }
 
 /// The result of a cache access.
@@ -39,11 +54,16 @@ pub struct Eviction {
 }
 
 /// A set-associative cache tag store.
+///
+/// All state is flat: one `sets × ways` line array (set-major, so way
+/// `w` of set `s` is `lines[s * ways + w]`), replacement state in flat
+/// per-line or per-set arrays, and one MRU hint per set. Building or
+/// cold-starting a cache is a handful of flat allocations or fills.
 #[derive(Debug)]
 pub struct Cache {
     geometry: CacheGeometry,
-    sets: Vec<Vec<Line>>,
-    policies: Vec<Box<dyn ReplacementPolicy>>,
+    lines: Vec<Line>,
+    replacement: Replacement,
     /// Per-set most-recently-used way, checked before the way scan.
     /// Purely a lookup accelerator: a line lives in at most one way, so a
     /// validated hint hit returns exactly what the scan would have found.
@@ -59,30 +79,32 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry is invalid (see [`CacheGeometry::validate`]).
+    /// Panics if the geometry is invalid (see [`CacheGeometry::validate`]),
+    /// or if it asks for tree-PLRU over a non-power-of-two way count.
     #[must_use]
     pub fn new(geometry: CacheGeometry, seed: u64) -> Cache {
         if let Err(e) = geometry.validate() {
             panic!("invalid cache geometry: {e}");
         }
-        let policies = (0..geometry.sets)
-            .map(|i| -> Box<dyn ReplacementPolicy> {
-                match geometry.replacement {
-                    ReplacementKind::Lru => Box::new(Lru::new(geometry.ways)),
-                    ReplacementKind::TreePlru => Box::new(TreePlru::new(geometry.ways)),
-                    ReplacementKind::Random => {
-                        Box::new(RandomRepl::new(geometry.ways, seed ^ i as u64))
-                    }
-                }
-            })
-            .collect();
+        let (sets, ways) = (geometry.sets, geometry.ways);
         Cache {
-            sets: vec![vec![Line::default(); geometry.ways]; geometry.sets],
-            policies,
-            mru_way: vec![0; geometry.sets],
+            lines: vec![Line::default(); sets * ways],
+            replacement: Replacement::new(geometry.replacement, sets, ways, seed),
+            mru_way: vec![0; sets],
             geometry,
             stats: CacheStats::default(),
         }
+    }
+
+    /// The ways of `set`.
+    fn set_lines(&self, set: usize) -> &[Line] {
+        let ways = self.geometry.ways;
+        &self.lines[set * ways..(set + 1) * ways]
+    }
+
+    /// The line in way `way` of `set`.
+    fn line_mut(&mut self, set: usize, way: usize) -> &mut Line {
+        &mut self.lines[set * self.geometry.ways + way]
     }
 
     /// The way holding `line` in `set`, if present. Checks the per-set
@@ -90,14 +112,12 @@ impl Cache {
     /// repeated same-line accesses the attack loops produce, the hint
     /// almost always short-circuits the scan.
     fn find_way(&self, set: usize, line: Addr) -> Option<usize> {
+        let lines = self.set_lines(set);
         let hint = self.mru_way[set] as usize;
-        let l = &self.sets[set][hint];
-        if l.valid && l.line_addr == line {
+        if lines[hint].holds(line) {
             return Some(hint);
         }
-        self.sets[set]
-            .iter()
-            .position(|l| l.valid && l.line_addr == line)
+        lines.iter().position(|l| l.holds(line))
     }
 
     /// Pick the way a missing line should occupy: an invalid way if one
@@ -107,22 +127,16 @@ impl Cache {
     /// ([`fill`](Cache::fill)) so victim selection cannot drift between
     /// them.
     fn allocate_way(&mut self, set: usize) -> (usize, Option<Eviction>) {
-        match self.sets[set].iter().position(|l| !l.valid) {
+        match self.set_lines(set).iter().position(|l| !l.valid) {
             Some(way) => (way, None),
             None => {
-                let way = self.policies[set].victim();
-                let victim = self.sets[set][way];
+                let way = self.replacement.victim(set);
+                let victim = self.set_lines(set)[way];
                 self.stats.evictions += 1;
                 if victim.dirty {
                     self.stats.writebacks += 1;
                 }
-                (
-                    way,
-                    Some(Eviction {
-                        line_addr: victim.line_addr,
-                        dirty: victim.dirty,
-                    }),
-                )
+                (way, Some(victim.eviction()))
             }
         }
     }
@@ -173,10 +187,10 @@ impl Cache {
         let set = self.set_index(line);
         // Hit path.
         if let Some(way) = self.find_way(set, line) {
-            self.policies[set].touch(way);
+            self.replacement.touch(set, way);
             self.mru_way[set] = way as u32;
             if is_write {
-                self.sets[set][way].dirty = true;
+                self.line_mut(set, way).dirty = true;
             }
             self.stats.hits += 1;
             return CacheAccess {
@@ -187,12 +201,12 @@ impl Cache {
         // Miss path: find an invalid way, or evict the policy's victim.
         self.stats.misses += 1;
         let (way, eviction) = self.allocate_way(set);
-        self.sets[set][way] = Line {
+        *self.line_mut(set, way) = Line {
             valid: true,
             dirty: is_write,
             line_addr: line,
         };
-        self.policies[set].touch(way);
+        self.replacement.touch(set, way);
         self.mru_way[set] = way as u32;
         CacheAccess {
             hit: false,
@@ -207,17 +221,17 @@ impl Cache {
         let line = self.line_addr(addr);
         let set = self.set_index(line);
         if let Some(way) = self.find_way(set, line) {
-            self.policies[set].touch(way);
+            self.replacement.touch(set, way);
             self.mru_way[set] = way as u32;
             return None;
         }
         let (way, eviction) = self.allocate_way(set);
-        self.sets[set][way] = Line {
+        *self.line_mut(set, way) = Line {
             valid: true,
             dirty: false,
             line_addr: line,
         };
-        self.policies[set].touch(way);
+        self.replacement.touch(set, way);
         self.mru_way[set] = way as u32;
         eviction
     }
@@ -228,13 +242,9 @@ impl Cache {
         let line = self.line_addr(addr);
         let set = self.set_index(line);
         let way = self.find_way(set, line)?;
-        let victim = self.sets[set][way];
-        self.sets[set][way] = Line::default();
+        let victim = std::mem::take(self.line_mut(set, way));
         self.stats.invalidations += 1;
-        Some(Eviction {
-            line_addr: victim.line_addr,
-            dirty: victim.dirty,
-        })
+        Some(victim.eviction())
     }
 
     /// Forcibly evict whatever line occupies `(set, way)`, if any —
@@ -245,47 +255,38 @@ impl Cache {
     /// Out-of-range coordinates are ignored (`None`), so callers can
     /// draw victims without consulting the geometry first.
     pub fn evict_way(&mut self, set: usize, way: usize) -> Option<Eviction> {
-        let line = *self.sets.get(set)?.get(way)?;
+        if set >= self.geometry.sets || way >= self.geometry.ways {
+            return None;
+        }
+        let line = std::mem::take(self.line_mut(set, way));
         if !line.valid {
             return None;
         }
-        self.sets[set][way] = Line::default();
         self.stats.evictions += 1;
         if line.dirty {
             self.stats.writebacks += 1;
         }
-        Some(Eviction {
-            line_addr: line.line_addr,
-            dirty: line.dirty,
-        })
+        Some(line.eviction())
     }
 
     /// Invalidate everything (cold-start).
     pub fn invalidate_all(&mut self) {
-        for set in &mut self.sets {
-            for line in set.iter_mut() {
-                *line = Line::default();
-            }
-        }
-        for p in &mut self.policies {
-            p.reset();
-        }
+        self.lines.fill(Line::default());
+        self.replacement.reset();
         self.mru_way.fill(0);
     }
 
     /// Number of currently valid lines (for occupancy assertions).
     #[must_use]
     pub fn valid_lines(&self) -> usize {
-        self.sets
-            .iter()
-            .map(|s| s.iter().filter(|l| l.valid).count())
-            .sum()
+        self.lines.iter().filter(|l| l.valid).count()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ReplacementKind;
 
     fn small() -> CacheGeometry {
         CacheGeometry {

@@ -249,13 +249,23 @@ impl Server {
         rehydrate(&inner);
 
         let mut threads = Vec::new();
-        for _ in 0..inner.cfg.runners.max(1) {
+        for runner in 0..inner.cfg.runners.max(1) {
             let inner = Arc::clone(&inner);
-            threads.push(std::thread::spawn(move || runner_loop(&inner)));
+            threads.push(
+                std::thread::Builder::new()
+                    .name(format!("serve-runner-{runner}"))
+                    .spawn(move || runner_loop(&inner))
+                    .expect("failed to spawn serve runner"),
+            );
         }
         {
             let inner = Arc::clone(&inner);
-            threads.push(std::thread::spawn(move || accept_loop(&inner, &listener)));
+            threads.push(
+                std::thread::Builder::new()
+                    .name("serve-accept".to_owned())
+                    .spawn(move || accept_loop(&inner, &listener))
+                    .expect("failed to spawn accept loop"),
+            );
         }
         Ok(Server { inner, threads })
     }
@@ -284,15 +294,21 @@ impl Server {
 /// Set the shutdown flag, wake the runner pool, trip every running
 /// campaign, and nudge the accept loop out of `accept()`.
 fn request_shutdown(inner: &Arc<Inner>) {
-    if inner.shutdown.swap(true, Ordering::AcqRel) {
-        return;
+    // Set and announce the flag under the queue lock: `runner_loop`
+    // checks it and then waits while holding that lock, so the wakeup
+    // cannot fall between the two and leave a runner asleep for good.
+    {
+        let _queue = inner.queue.lock().expect("queue poisoned");
+        if inner.shutdown.swap(true, Ordering::AcqRel) {
+            return;
+        }
+        inner.queue_cond.notify_all();
     }
     for entry in inner.entries.lock().expect("entries poisoned").values() {
         if entry.state() == CampaignState::Running {
             entry.cancel.cancel();
         }
     }
-    inner.queue_cond.notify_all();
     // The accept loop blocks in accept(); a throwaway connection makes
     // it re-check the flag.
     let _ = TcpStream::connect(inner.addr);
@@ -393,10 +409,13 @@ fn accept_loop(inner: &Arc<Inner>, listener: &TcpListener) {
         let inner = Arc::clone(inner);
         // Thread-per-connection: a stalled client occupies one thread
         // and its own socket buffer, nothing shared.
-        std::thread::spawn(move || {
-            let _slot = slot;
-            let _ = handle_connection(&inner, stream);
-        });
+        std::thread::Builder::new()
+            .name("serve-conn".to_owned())
+            .spawn(move || {
+                let _slot = slot;
+                let _ = handle_connection(&inner, stream);
+            })
+            .expect("failed to spawn connection handler");
     }
 }
 
