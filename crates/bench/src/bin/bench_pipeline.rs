@@ -7,7 +7,7 @@
 //! bench_pipeline --out FILE              # write elsewhere
 //! bench_pipeline --baseline FILE         # embed FILE as "before" + speedups
 //! bench_pipeline --check FILE            # compare against FILE: fail on
-//!                                        #   cycle drift or a >2x slowdown
+//!                                        #   cycle/counter drift or a >2x slowdown
 //! bench_pipeline --check FILE --max-slowdown 3
 //! bench_pipeline --deadline 300          # budget the whole matrix
 //! bench_pipeline --strict                # escalate warnings to failures
@@ -16,10 +16,10 @@
 //!                                        #   tracing overhead
 //! ```
 //!
-//! Simulated cycle counts are bit-deterministic; `--check` therefore
-//! treats *any* cycle drift as an error (the scheduler must stay
-//! cycle-exact) and only tolerates wall-clock noise up to the slowdown
-//! factor.
+//! Simulated cycle counts and scheduler counters are bit-deterministic;
+//! `--check` therefore treats *any* drift in them as an error (the
+//! scheduler must stay cycle-exact) and only tolerates wall-clock noise
+//! in ns per dispatched instruction up to the slowdown factor.
 //!
 //! Unlike `repro`, this bin drives the executor directly rather than
 //! through the campaign engine, so `--deadline` is a *whole-matrix*
@@ -32,7 +32,7 @@ use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use vpsim_bench::pipeline_bench::{
-    check_against, parse_cells, render, run_matrix, run_matrix_traced, to_json,
+    check_against, render, report_from_json, run_matrix, run_matrix_traced, to_json,
 };
 
 #[derive(Debug, Default)]
@@ -167,13 +167,12 @@ fn main() -> ExitCode {
     let before = match &args.baseline {
         Some(path) => match std::fs::read_to_string(path) {
             Ok(s) => {
-                // Re-hydrate only what the report embeds: cells.
-                let cells = parse_cells(&s);
-                if cells.is_empty() {
+                let before = report_from_json(&s);
+                if before.cells.is_empty() {
                     eprintln!("error: baseline {} contains no cells", path.display());
                     return ExitCode::FAILURE;
                 }
-                Some(s)
+                Some(before)
             }
             Err(e) => {
                 eprintln!("error: cannot read baseline {}: {e}", path.display());
@@ -182,13 +181,7 @@ fn main() -> ExitCode {
         },
         None => None,
     };
-    let json = match &before {
-        Some(b) => {
-            let before_report = vpsim_bench::pipeline_bench::report_from_json(b);
-            to_json(&report, Some(&before_report))
-        }
-        None => to_json(&report, None),
-    };
+    let json = to_json(&report, before.as_ref());
     let out = args
         .out
         .unwrap_or_else(|| PathBuf::from("BENCH_pipeline.json"));

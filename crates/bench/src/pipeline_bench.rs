@@ -3,15 +3,18 @@
 //!
 //! Runs a fixed workload matrix (attack-zoo trial programs and synthetic
 //! kernels x predictor types x cache configurations) under
-//! `vpsim-rng`-seeded determinism, measuring simulated cycles, wall time
-//! and sim-cycles/sec per cell, and emits `BENCH_pipeline.json` so every
-//! performance PR records its trajectory. The simulated-cycle counts are
-//! bit-deterministic; only wall time varies between hosts.
+//! `vpsim-rng`-seeded determinism, measuring simulated cycles, scheduler
+//! counters and wall time per cell, and emits `BENCH_pipeline.json` so
+//! every performance PR records its trajectory. The simulated cycles and
+//! scheduler counters are bit-deterministic; only wall time varies
+//! between hosts.
 //!
-//! The DRAM-miss-heavy `flush_reload` cell is the headline number: a
-//! Flush+Reload covert-channel loop spends most of its simulated time in
-//! long miss stalls, which is exactly what the event-driven scheduler's
-//! cycle-skipping collapses.
+//! The headline units follow the work done: wall nanoseconds per
+//! dispatched instruction and per scheduler tick (phase sweep), both
+//! derived from `wall_ns` and the cell's `sched` counters. Simulated
+//! cycles per second is not reported: most simulated cycles are idle
+//! ones the scheduler jumps over, so it measures the workload's stall
+//! share rather than the executor's cost.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -45,13 +48,16 @@ pub struct BenchCell {
 }
 
 impl BenchCell {
-    /// The headline throughput metric.
+    /// Wall nanoseconds per dispatched instruction (the headline cost).
     #[must_use]
-    pub fn sim_cycles_per_sec(&self) -> f64 {
-        if self.wall_ns == 0 {
-            return f64::INFINITY;
-        }
-        self.cycles as f64 / (self.wall_ns as f64 / 1e9)
+    pub fn ns_per_dispatched(&self) -> f64 {
+        self.wall_ns as f64 / self.sched.dispatched.max(1) as f64
+    }
+
+    /// Wall nanoseconds per scheduler tick (one sweep of the six phases).
+    #[must_use]
+    pub fn ns_per_tick(&self) -> f64 {
+        self.wall_ns as f64 / self.sched.ticks.max(1) as f64
     }
 
     /// The `workload/predictor/mem` key used for baseline matching.
@@ -318,7 +324,7 @@ fn json_cell(c: &BenchCell, out: &mut String) {
     let _ = write!(
         out,
         "    {{\"workload\": \"{}\", \"predictor\": \"{}\", \"mem\": \"{}\", \
-         \"cycles\": {}, \"wall_ns\": {}, \"sim_cycles_per_sec\": {:.1}, \
+         \"cycles\": {}, \"wall_ns\": {}, \"ns_per_dispatched\": {:.1}, \"ns_per_tick\": {:.1}, \
          \"sched\": {{\"ticks\": {}, \"skipped_cycles\": {}, \"completion_events\": {}, \
          \"wakeup_broadcasts\": {}, \"verify_events\": {}, \"issue_slots\": {}, \
          \"dispatched\": {}}}}}",
@@ -327,7 +333,8 @@ fn json_cell(c: &BenchCell, out: &mut String) {
         c.mem,
         c.cycles,
         c.wall_ns,
-        c.sim_cycles_per_sec(),
+        c.ns_per_dispatched(),
+        c.ns_per_tick(),
         c.sched.ticks,
         c.sched.skipped_cycles,
         c.sched.completion_events,
@@ -339,12 +346,13 @@ fn json_cell(c: &BenchCell, out: &mut String) {
 }
 
 /// Render the report (optionally with an embedded `before` baseline and
-/// per-cell speedups) as the `BENCH_pipeline.json` document.
+/// per-cell speedups in ns/dispatched) as the `BENCH_pipeline.json`
+/// document.
 #[must_use]
 pub fn to_json(report: &BenchReport, before: Option<&BenchReport>) -> String {
     let mut out = String::new();
     out.push_str("{\n");
-    let _ = writeln!(out, "  \"schema\": \"vpsim-bench-pipeline/v1\",");
+    let _ = writeln!(out, "  \"schema\": \"vpsim-bench-pipeline/v2\",");
     let _ = writeln!(out, "  \"mode\": \"{}\",", report.mode);
     out.push_str("  \"cells\": [\n");
     for (i, c) in report.cells.iter().enumerate() {
@@ -375,7 +383,7 @@ pub fn to_json(report: &BenchReport, before: Option<&BenchReport>) -> String {
                 Some(format!(
                     "    \"{}\": {:.2}",
                     c.key(),
-                    c.sim_cycles_per_sec() / b.sim_cycles_per_sec()
+                    b.ns_per_dispatched() / c.ns_per_dispatched()
                 ))
             })
             .collect();
@@ -392,6 +400,8 @@ use vpsim_json::field_str as field;
 /// into a [`BenchReport`]. A minimal line-oriented parser — each cell is
 /// rendered on one line, so no JSON dependency is needed. Only the
 /// primary `cells` section is read (an embedded `before` is ignored).
+/// The derived headline fields are recomputed, not read, so the parser
+/// also reads the v1 schema, which carried `sim_cycles_per_sec` instead.
 #[must_use]
 pub fn report_from_json(json: &str) -> BenchReport {
     let mut cells = Vec::new();
@@ -433,20 +443,10 @@ pub fn report_from_json(json: &str) -> BenchReport {
     BenchReport { mode, cells }
 }
 
-/// The `(key, sim-cycles/sec, cycles)` triples used for baseline
-/// comparison.
-#[must_use]
-pub fn parse_cells(json: &str) -> Vec<(String, f64, u64)> {
-    report_from_json(json)
-        .cells
-        .iter()
-        .map(|c| (c.key(), c.sim_cycles_per_sec(), c.cycles))
-        .collect()
-}
-
 /// Compare a fresh run against a committed baseline file: error if any
-/// cell's simulated cycle count changed (the scheduler must be
-/// cycle-exact) or its throughput regressed by more than `max_slowdown`.
+/// cell's simulated cycle count or scheduler counters changed (the
+/// scheduler must be cycle-exact) or its ns per dispatched instruction
+/// grew by more than `max_slowdown`.
 ///
 /// # Errors
 ///
@@ -468,33 +468,35 @@ pub fn check_against(
             base_report.mode, report.mode
         ));
     }
-    let baseline: Vec<(String, f64, u64)> = base_report
-        .cells
-        .iter()
-        .map(|c| (c.key(), c.sim_cycles_per_sec(), c.cycles))
-        .collect();
     let mut problems = Vec::new();
     for c in &report.cells {
-        let Some((_, base_cps, base_cycles)) = baseline.iter().find(|(k, _, _)| *k == c.key())
-        else {
+        let Some(base) = base_report.cells.iter().find(|b| b.key() == c.key()) else {
             continue;
         };
-        if c.cycles != *base_cycles {
+        if c.cycles != base.cycles {
             problems.push(format!(
                 "{}: simulated cycles changed {} -> {} (scheduler must be cycle-exact)",
                 c.key(),
-                base_cycles,
+                base.cycles,
                 c.cycles
             ));
         }
-        let cps = c.sim_cycles_per_sec();
-        if cps * max_slowdown < *base_cps {
+        if c.sched != base.sched {
             problems.push(format!(
-                "{}: throughput regressed >{}x: {:.0} -> {:.0} sim-cycles/sec",
+                "{}: scheduler counters changed {:?} -> {:?} (scheduler must be cycle-exact)",
+                c.key(),
+                base.sched,
+                c.sched
+            ));
+        }
+        let (ns, base_ns) = (c.ns_per_dispatched(), base.ns_per_dispatched());
+        if ns > base_ns * max_slowdown {
+            problems.push(format!(
+                "{}: slowed down >{}x: {:.1} -> {:.1} ns/dispatched",
                 c.key(),
                 max_slowdown,
-                base_cps,
-                cps
+                base_ns,
+                ns
             ));
         }
     }
@@ -512,8 +514,8 @@ pub fn render(report: &BenchReport) -> String {
     let mut out = String::from("Pipeline executor throughput (event-driven scheduler):\n\n");
     let _ = writeln!(
         out,
-        "  {:<16} {:<7} {:<7} {:>14} {:>12} {:>16} {:>8}",
-        "workload", "VP", "mem", "sim cycles", "wall ms", "sim-cycles/sec", "skip%"
+        "  {:<16} {:<7} {:<7} {:>14} {:>10} {:>10} {:>9} {:>7}",
+        "workload", "VP", "mem", "sim cycles", "wall ms", "ns/disp", "ns/tick", "skip%"
     );
     for c in &report.cells {
         let skip_pct = if c.sched.ticks + c.sched.skipped_cycles == 0 {
@@ -523,13 +525,14 @@ pub fn render(report: &BenchReport) -> String {
         };
         let _ = writeln!(
             out,
-            "  {:<16} {:<7} {:<7} {:>14} {:>12.2} {:>16.0} {:>7.1}%",
+            "  {:<16} {:<7} {:<7} {:>14} {:>10.2} {:>10.1} {:>9.1} {:>6.1}%",
             c.workload,
             c.predictor,
             c.mem,
             c.cycles,
             c.wall_ns as f64 / 1e6,
-            c.sim_cycles_per_sec(),
+            c.ns_per_dispatched(),
+            c.ns_per_tick(),
             skip_pct,
         );
     }
@@ -580,11 +583,14 @@ mod tests {
     fn json_roundtrips_through_parser() {
         let r = run_matrix(true);
         let json = to_json(&r, None);
-        let cells = parse_cells(&json);
+        let cells = report_from_json(&json).cells;
         assert_eq!(cells.len(), r.cells.len());
-        for (c, (key, _, cycles)) in r.cells.iter().zip(&cells) {
-            assert_eq!(c.key(), *key);
-            assert_eq!(c.cycles, *cycles);
+        for (c, back) in r.cells.iter().zip(&cells) {
+            assert_eq!(c.key(), back.key());
+            assert_eq!(
+                (c.cycles, c.wall_ns, c.sched),
+                (back.cycles, back.wall_ns, back.sched)
+            );
         }
     }
 
@@ -597,5 +603,9 @@ mod tests {
         drifted.cells[0].cycles += 1;
         let err = check_against(&drifted, &json, 2.0).unwrap_err();
         assert!(err.contains("cycle-exact"), "{err}");
+        let mut drifted = r.clone();
+        drifted.cells[0].sched.wakeup_broadcasts += 1;
+        let err = check_against(&drifted, &json, 2.0).unwrap_err();
+        assert!(err.contains("scheduler counters changed"), "{err}");
     }
 }

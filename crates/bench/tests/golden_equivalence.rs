@@ -1,12 +1,14 @@
 //! Golden-trace equivalence suite for the pipeline executor.
 //!
 //! Every fixture in `tests/golden/` was recorded from the pre-event-driven
-//! (tick-by-tick) executor. The tests re-run the same deterministic
-//! workloads — every attack-zoo trial variant, defense and front-end
-//! configurations, the performance kernels and the end-to-end RSA key
-//! leak — and assert the executor still produces **bit-identical**
-//! [`RunResult`]s: cycles, final registers, rdtsc observations, run
-//! statistics and the full commit trace.
+//! (tick-by-tick) executor, except `aborted_runs.txt`, recorded from the
+//! event-driven executor that still built its collections per run. The
+//! tests re-run the same deterministic workloads — every attack-zoo trial
+//! variant, defense and front-end configurations, the performance
+//! kernels, the end-to-end RSA key leak and runs cut short — and assert
+//! the executor still produces **bit-identical** [`RunResult`]s: cycles,
+//! final registers, rdtsc observations, run statistics and the full
+//! commit trace.
 //!
 //! To re-record (only after an *intentional* semantic change):
 //!
@@ -445,6 +447,118 @@ fn full_trace_fixture_matches() {
         canonical(&second)
     );
     check_or_record("full_pointer_chase.txt", &dump);
+}
+
+/// A long loop that keeps the whole pipeline busy when it is cut short:
+/// an unpredictable miss stream (pending VPS trainings), a consumer that
+/// reads one producer through both operands, a constant load the LVP
+/// learns to predict, and a store whose data waits on the miss (unissued
+/// stores). With `flush`, the constant load is flushed first, so it
+/// misses (verification events) and every younger load waits behind the
+/// flush; without it, the stream's misses overlap.
+fn busy_loop(flush: bool) -> vpsim_isa::Program {
+    use vpsim_isa::{AluOp, ProgramBuilder};
+    let mut b = ProgramBuilder::new();
+    b.li(Reg::R1, BUSY_STREAM)
+        .li(Reg::R6, 0x20_0000)
+        .li(Reg::R7, 0x30_0000)
+        .li(Reg::R5, 0)
+        .li(Reg::R8, 1 << 40);
+    b.label("loop").expect("fresh label");
+    b.load(Reg::R2, Reg::R1, 0)
+        .alu(AluOp::Add, Reg::R3, Reg::R2, Reg::R2);
+    if flush {
+        b.flush(Reg::R6, 0);
+    }
+    b.load(Reg::R4, Reg::R6, 0)
+        .store(Reg::R3, Reg::R7, 0)
+        .addi(Reg::R1, Reg::R1, 64)
+        .addi(Reg::R5, Reg::R5, 1)
+        .blt(Reg::R5, Reg::R8, "loop")
+        .halt();
+    b.build().expect("busy loop assembles")
+}
+
+const BUSY_STREAM: u64 = 0x10_0000;
+
+/// A trace sink that trips a cancel token after a fixed number of
+/// events, so a run is cancelled at a deterministic point mid-flight.
+struct TripAfter {
+    left: u64,
+    seen: u64,
+    token: vpsim_pipeline::CancelToken,
+}
+
+impl vpsim_obs::TraceSink for TripAfter {
+    fn record(&mut self, _cycle: u64, _event: vpsim_obs::TraceEvent) {
+        self.seen += 1;
+        if self.left == 0 {
+            self.token.cancel();
+        } else {
+            self.left -= 1;
+        }
+    }
+}
+
+/// Runs that end early must leave nothing behind for the next run on
+/// the same machine. One machine runs the flushing busy loop into its
+/// cycle limit (full ROB, live event heaps, a pending training), then
+/// runs the overlapping one until a token tripped mid-flight cancels it,
+/// then runs two ordinary attack steps. Every outcome is pinned,
+/// scheduler counters included.
+#[test]
+fn aborted_runs_leave_no_state_behind() {
+    let setup = AttackSetup::default();
+    let core = CoreConfig {
+        max_cycles: 40_000,
+        ..golden_core()
+    };
+    let mut m = Machine::new(
+        core,
+        MemoryConfig::default(),
+        predictor_for("lvp", &setup),
+        0xab07,
+    );
+    for i in 0..4096u64 {
+        m.mem_mut()
+            .store_value(BUSY_STREAM + 64 * i, i.wrapping_mul(0x9e37_79b9) | 1);
+    }
+    let mut dump = String::new();
+    let limit = m
+        .run(1, &busy_loop(true))
+        .expect_err("busy loop outlives the limit");
+    let _ = writeln!(dump, "== cycle limit ==\nerror: {limit:?}");
+
+    let token = vpsim_pipeline::CancelToken::new();
+    m.set_cancel(token.clone());
+    let mut sink = TripAfter {
+        left: 700,
+        seen: 0,
+        token,
+    };
+    let cancelled = m
+        .run_traced(1, &busy_loop(false), &mut sink)
+        .expect_err("tripped token cancels the run");
+    let _ = writeln!(
+        dump,
+        "== cancelled ==\nerror: {cancelled:?}\nevents: {}",
+        sink.seen
+    );
+    m.set_cancel(vpsim_pipeline::CancelToken::new());
+
+    let trial = build_trial(
+        AttackCategory::TrainTest,
+        Channel::TimingWindow,
+        true,
+        &setup,
+    )
+    .expect("supported");
+    for (i, step) in trial.steps.iter().take(2).enumerate() {
+        let r = m.run(step.party.pid(), &step.program).expect("step halts");
+        let _ = write!(dump, "== step {i} ({}) ==\n{}", step.label, canonical(&r));
+        let _ = writeln!(dump, "sched: {:?}", r.sched);
+    }
+    check_or_record("aborted_runs.txt", &dump);
 }
 
 /// The level-0 *event trace* of one attack-zoo cell, pinned byte for

@@ -1,6 +1,6 @@
 //! Sparse word-granularity backing store.
 
-use std::collections::HashMap;
+use vpsim_rng::U64Map;
 
 use crate::Addr;
 
@@ -16,7 +16,7 @@ const PAGE_BYTES: u64 = (PAGE_WORDS * 8) as u64;
 /// paper's PoCs. Unwritten memory reads as zero.
 #[derive(Debug, Clone, Default)]
 pub struct BackingStore {
-    pages: HashMap<u64, Box<[u64; PAGE_WORDS]>>,
+    pages: U64Map<Box<[u64; PAGE_WORDS]>>,
 }
 
 impl BackingStore {

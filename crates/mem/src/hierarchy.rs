@@ -120,12 +120,13 @@ impl MemoryHierarchy {
     }
 
     /// Enable or disable event tracing. Disabling drops any buffered
-    /// events. Tracing is purely observational: it never changes
-    /// timing, state or statistics.
+    /// events but keeps the buffer, so traced runs one after another
+    /// allocate it once. Tracing is purely observational: it never
+    /// changes timing, state or statistics.
     pub fn set_tracing(&mut self, on: bool) {
         self.trace_enabled = on;
         if !on {
-            self.trace_buf = Vec::new();
+            self.trace_buf.clear();
         }
     }
 

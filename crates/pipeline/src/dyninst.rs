@@ -51,6 +51,9 @@ pub struct DynInst {
     pub operands: [Option<u64>; 2],
     /// Producer tags for unresolved operands.
     pub src_tags: [Option<Seq>; 2],
+    /// Source slots of younger entries that dispatch tagged with this
+    /// entry's seq (the slots its result broadcast must fill).
+    pub waiting_slots: u32,
     /// Result value (dest-register value, store data, branch taken flag).
     pub result: Option<u64>,
     /// Cycle at which the result becomes available for wakeup.
@@ -65,6 +68,9 @@ pub struct DynInst {
     pub verified: bool,
     /// D-type: this load skipped its cache fill; install at commit.
     pub deferred_fill: bool,
+    /// This load missed without a prediction and trains the VPS with its
+    /// value when it completes.
+    pub owes_train: bool,
     /// Branch resolution outcome: the next fetch PC.
     pub redirect: Option<Pc>,
     /// For branches under a speculating front-end: the PC fetch
@@ -83,6 +89,7 @@ impl DynInst {
             status: Status::Waiting,
             operands: [None, None],
             src_tags: [None, None],
+            waiting_slots: 0,
             result: None,
             done_at: None,
             addr: None,
@@ -90,6 +97,7 @@ impl DynInst {
             verify_at: None,
             verified: false,
             deferred_fill: false,
+            owes_train: false,
             redirect: None,
             predicted_next: None,
         }

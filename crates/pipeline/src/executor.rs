@@ -38,19 +38,30 @@
 //!   the complete phase;
 //! * a min-heap of **verification events** keyed `(verify_at, seq)`
 //!   drives the verify phase;
-//! * a **consumer index** (producer seq → waiting consumer seqs) routes
-//!   wakeup broadcasts to exactly the instructions that asked for them;
-//! * a **ready queue** (ordered set of issuable seqs) feeds the issue
-//!   phase oldest-first;
-//! * **pending VPS trainings** live in a seq-keyed map with O(1)
-//!   removal.
+//! * **wakeup** scans the ROB entries younger than each completed
+//!   producer for source tags naming it (a consumer is always younger
+//!   than its producer, and dispatch sets a tag exactly when it finds
+//!   the operand unavailable), stopping once it has filled as many
+//!   slots as dispatch counted on the producer;
+//! * a **ready queue** (sorted set of issuable seqs, [`SeqSet`]) feeds
+//!   the issue phase oldest-first through a seq cursor;
+//! * a load that missed without a prediction carries a flag that it
+//!   still owes the VPS a training, so a squash drops it with the entry.
 //!
 //! Heap entries invalidated by a squash are discarded lazily: each pop
 //! re-checks the event against the live ROB entry. Seqs are never
 //! reused within a run, so a stale event can never alias a live one.
+//!
+//! The ROB, the event heaps and the seq sets live in a [`Scratch`] the
+//! [`Machine`](crate::Machine) owns, so a run reuses the previous run's
+//! buffers and the per-instruction path allocates nothing. Every run
+//! clears the scratch *before* it starts: a run that ended early
+//! (cycle limit, cancellation, fetch past the end) returns straight out
+//! of the loop with its ROB and heaps still full, and the next run on
+//! the machine must not see them.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
 use vpsim_chaos::PipeChaos;
 use vpsim_isa::{Inst, Pc, Program, RegFile, NUM_REGS};
@@ -62,6 +73,7 @@ use crate::cancel::CancelToken;
 use crate::config::CoreConfig;
 use crate::dyninst::{DynInst, LoadOrigin, Seq, Status};
 use crate::result::{CommitEvent, RunError, RunResult, RunStats, SchedStats};
+use crate::seqset::SeqSet;
 
 /// Scheduler ticks between cancellation-point checks, minus one. The
 /// check is a pure atomic read — it cannot change any simulation state
@@ -69,13 +81,70 @@ use crate::result::{CommitEvent, RunError, RunResult, RunStats, SchedStats};
 /// untripped runs bit-identical to unsupervised ones.
 const CANCEL_CHECK_MASK: u64 = 1024 - 1;
 
+/// The executor's per-run collections, kept by the
+/// [`Machine`](crate::Machine) across runs so their buffers are reused.
+/// [`Executor::new`] clears them; nothing in them outlives a run.
+#[derive(Debug, Default)]
+pub(crate) struct Scratch {
+    rob: VecDeque<DynInst>,
+    /// Completion events `(done_at, seq)`; lazily invalidated.
+    completions: BinaryHeap<Reverse<(Cycles, Seq)>>,
+    /// Verification events `(verify_at, seq)`; lazily invalidated.
+    verifications: BinaryHeap<Reverse<(Cycles, Seq)>>,
+    /// Results that became available this cycle for waiting consumers,
+    /// in completion order: `(producer, value, tagged source slots)`.
+    pending_wakeup: Vec<(Seq, u64, u32)>,
+    /// VPS trainings `(pc, addr, value)` due this cycle, applied after
+    /// the completion drain.
+    trains: Vec<(Pc, u64, u64)>,
+    /// Waiting entries whose operands are all ready, oldest first.
+    ready: SeqSet,
+    /// Seqs of in-flight loads carrying an unverified prediction (the
+    /// D-type shadow test needs "any unverified prediction older than
+    /// seq").
+    unverified: SeqSet,
+    /// Stores whose address is still unknown (not yet issued). Loads
+    /// cannot issue past them.
+    unissued_stores: SeqSet,
+    /// Flushes anywhere in the ROB (they block younger loads from
+    /// issuing until commit).
+    flushes_in_rob: SeqSet,
+}
+
+impl Scratch {
+    /// Buffers sized for a `rob_entries`-entry ROB, which bounds every
+    /// collection except the lazily invalidated heaps.
+    pub(crate) fn with_capacity(rob_entries: usize) -> Scratch {
+        Scratch {
+            rob: VecDeque::with_capacity(rob_entries),
+            completions: BinaryHeap::with_capacity(rob_entries),
+            verifications: BinaryHeap::with_capacity(rob_entries),
+            pending_wakeup: Vec::with_capacity(rob_entries),
+            trains: Vec::with_capacity(rob_entries),
+            ready: SeqSet::with_capacity(rob_entries),
+            unverified: SeqSet::with_capacity(rob_entries),
+            unissued_stores: SeqSet::with_capacity(rob_entries),
+            flushes_in_rob: SeqSet::with_capacity(rob_entries),
+        }
+    }
+}
+
 pub(crate) struct Executor<'a> {
     config: CoreConfig,
     program: &'a Program,
     pid: u32,
     mem: &'a mut MemoryHierarchy,
     vp: &'a mut dyn ValuePredictor,
-    rob: VecDeque<DynInst>,
+    // The Machine-owned scratch, borrowed field by field (see `Scratch`).
+    rob: &'a mut VecDeque<DynInst>,
+    completions: &'a mut BinaryHeap<Reverse<(Cycles, Seq)>>,
+    verifications: &'a mut BinaryHeap<Reverse<(Cycles, Seq)>>,
+    pending_wakeup: &'a mut Vec<(Seq, u64, u32)>,
+    trains: &'a mut Vec<(Pc, u64, u64)>,
+    ready: &'a mut SeqSet,
+    unverified: &'a mut SeqSet,
+    unissued_stores: &'a mut SeqSet,
+    flushes_in_rob: &'a mut SeqSet,
     rat: [Option<Seq>; NUM_REGS],
     regs: RegFile,
     fetch_pc: Pc,
@@ -91,34 +160,10 @@ pub(crate) struct Executor<'a> {
     /// Work performed in the current phase sweep; zero means the machine
     /// is quiescent and the clock may jump to the next timer.
     work_this_cycle: u64,
-    /// Completion events `(done_at, seq)`; lazily invalidated.
-    completions: BinaryHeap<Reverse<(Cycles, Seq)>>,
-    /// Verification events `(verify_at, seq)`; lazily invalidated.
-    verifications: BinaryHeap<Reverse<(Cycles, Seq)>>,
-    /// Producer seq → consumers waiting on its result broadcast.
-    consumers: HashMap<Seq, Vec<Seq>>,
-    /// Results that became available this cycle, in completion order.
-    pending_wakeup: Vec<(Seq, u64)>,
-    /// Waiting entries whose operands are all ready, oldest first.
-    ready: BTreeSet<Seq>,
-    /// Seqs of in-flight loads carrying an unverified prediction (the
-    /// D-type shadow test needs "any unverified prediction older than
-    /// seq" as a range query).
-    unverified: BTreeSet<Seq>,
-    /// Stores whose address is still unknown (not yet issued). Loads
-    /// cannot issue past them; "any older unissued store" is a range
-    /// query instead of a ROB scan.
-    unissued_stores: BTreeSet<Seq>,
-    /// Flushes anywhere in the ROB (they block younger loads from
-    /// dispatch until commit).
-    flushes_in_rob: BTreeSet<Seq>,
     /// Fetched-but-uncommitted `halt`s (fetch stalls behind them).
     halts_in_flight: usize,
     /// Dispatched-but-unresolved branches (stall-mode fetch gate).
     unresolved_branches: usize,
-    /// Loads (by seq) that missed without a prediction and still owe the
-    /// VPS a training update when their data arrives.
-    pending_train: HashMap<Seq, (LoadContext, u64)>,
     /// The pipeline-side fault injector (spurious squashes), when a
     /// noise plane is installed. Draws once per committed instruction,
     /// a point the cycle-skipping scheduler reaches identically on
@@ -144,17 +189,43 @@ impl<'a> Executor<'a> {
         chaos: Option<&'a mut PipeChaos>,
         cancel: Option<&'a CancelToken>,
         tracer: Option<&'a mut dyn TraceSink>,
+        scratch: &'a mut Scratch,
     ) -> Executor<'a> {
-        if let Err(e) = config.validate() {
-            panic!("invalid core configuration: {e}");
-        }
+        let Scratch {
+            rob,
+            completions,
+            verifications,
+            pending_wakeup,
+            trains,
+            ready,
+            unverified,
+            unissued_stores,
+            flushes_in_rob,
+        } = scratch;
+        rob.clear();
+        completions.clear();
+        verifications.clear();
+        pending_wakeup.clear();
+        trains.clear();
+        ready.clear();
+        unverified.clear();
+        unissued_stores.clear();
+        flushes_in_rob.clear();
         Executor {
             config,
             program,
             pid,
             mem,
             vp,
-            rob: VecDeque::new(),
+            rob,
+            completions,
+            verifications,
+            pending_wakeup,
+            trains,
+            ready,
+            unverified,
+            unissued_stores,
+            flushes_in_rob,
             rat: [None; NUM_REGS],
             regs: RegFile::new(),
             fetch_pc: Pc(0),
@@ -168,17 +239,8 @@ impl<'a> Executor<'a> {
             sched: SchedStats::default(),
             trace: Vec::new(),
             work_this_cycle: 0,
-            completions: BinaryHeap::new(),
-            verifications: BinaryHeap::new(),
-            consumers: HashMap::new(),
-            pending_wakeup: Vec::new(),
-            ready: BTreeSet::new(),
-            unverified: BTreeSet::new(),
-            unissued_stores: BTreeSet::new(),
-            flushes_in_rob: BTreeSet::new(),
             halts_in_flight: 0,
             unresolved_branches: 0,
-            pending_train: HashMap::new(),
             chaos,
             cancel,
             tracer,
@@ -397,7 +459,7 @@ impl<'a> Executor<'a> {
                 });
             }
             self.rob[pos].verified = true;
-            self.unverified.remove(&seq);
+            self.unverified.remove(seq);
             if predicted == actual {
                 self.stats.correct_predictions += 1;
                 continue;
@@ -443,15 +505,12 @@ impl<'a> Executor<'a> {
         }
         self.stats.squashed_insts += squashed;
         self.stats.deferred_fills_discarded += discarded_fills;
-        // Purge squashed seqs from the phase indices. Heap events decay
-        // lazily; stale consumer registrations are re-checked against
-        // the live ROB at broadcast time.
-        self.pending_train.retain(|s, _| *s <= seq);
-        self.consumers.retain(|p, _| *p <= seq);
-        drop(self.ready.split_off(&(seq + 1)));
-        drop(self.unverified.split_off(&(seq + 1)));
-        drop(self.unissued_stores.split_off(&(seq + 1)));
-        drop(self.flushes_in_rob.split_off(&(seq + 1)));
+        // Purge squashed seqs from the seq sets. Heap events decay
+        // lazily.
+        self.ready.truncate_after(seq);
+        self.unverified.truncate_after(seq);
+        self.unissued_stores.truncate_after(seq);
+        self.flushes_in_rob.truncate_after(seq);
         self.halts_in_flight = self
             .rob
             .iter()
@@ -464,7 +523,7 @@ impl<'a> Executor<'a> {
             .count();
         // Roll the rename table back to the surviving producers.
         self.rat = [None; NUM_REGS];
-        for e in &self.rob {
+        for e in self.rob.iter() {
             if let Some(rd) = e.inst.dest() {
                 self.rat[rd.index()] = Some(e.seq);
             }
@@ -485,7 +544,6 @@ impl<'a> Executor<'a> {
     // ------------------------------------------------------------------
 
     fn complete(&mut self) {
-        let mut trains = Vec::new();
         // Due events pop in (cycle, seq) order; all due events share the
         // current cycle, so this is ROB (program) order, exactly the
         // order the tick-by-tick scan processed them in. A mispredicted
@@ -497,14 +555,16 @@ impl<'a> Executor<'a> {
             self.sched.completion_events += 1;
             let e = &mut self.rob[pos];
             e.status = Status::Done;
-            if e.inst.is_load() {
-                if let Some(train) = self.pending_train.remove(&seq) {
-                    trains.push(train);
-                }
+            if e.owes_train {
+                self.trains.push((
+                    e.pc,
+                    e.addr.expect("issued load has an address"),
+                    e.result.expect("memory load has its value"),
+                ));
             }
-            if e.inst.dest().is_some() {
-                self.pending_wakeup
-                    .push((seq, e.result.expect("completed instruction has a result")));
+            if e.waiting_slots > 0 {
+                let value = e.result.expect("completed instruction has a result");
+                self.pending_wakeup.push((seq, value, e.waiting_slots));
             }
             if let Inst::Branch { .. } = e.inst {
                 let actual = e.redirect.expect("resolved branch has a redirect");
@@ -524,7 +584,9 @@ impl<'a> Executor<'a> {
                 }
             }
         }
-        for (ctx, actual) in trains {
+        for i in 0..self.trains.len() {
+            let (pc, addr, actual) = self.trains[i];
+            let ctx = self.ctx_for(pc, addr);
             self.vp.train(&ctx, actual, None);
             if self.tracer.is_some() {
                 self.emit(TraceEvent::Train {
@@ -533,6 +595,7 @@ impl<'a> Executor<'a> {
                 });
             }
         }
+        self.trains.clear();
     }
 
     // ------------------------------------------------------------------
@@ -540,31 +603,33 @@ impl<'a> Executor<'a> {
     // ------------------------------------------------------------------
 
     fn wakeup(&mut self) {
-        let pending = std::mem::take(&mut self.pending_wakeup);
-        for (producer, value) in pending {
-            let Some(waiters) = self.consumers.remove(&producer) else {
-                continue;
-            };
-            for consumer in waiters {
-                // A squashed consumer may still be registered; the seq
-                // lookup and tag check make stale registrations inert.
-                let Some(pos) = self.rob_pos(consumer) else {
-                    continue;
-                };
-                let e = &mut self.rob[pos];
+        for &(producer, value, mut slots) in self.pending_wakeup.iter() {
+            // Consumers are younger than their producer, and dispatch set
+            // a source tag exactly for each operand it had to wait for.
+            // The scan stops once every tagged slot is filled; slots of
+            // squashed consumers are gone, so then it runs to the tail.
+            let younger = self.rob.partition_point(|e| e.seq <= producer);
+            for e in self.rob.range_mut(younger..) {
+                if slots == 0 {
+                    break;
+                }
+                let mut woken = false;
                 for i in 0..2 {
                     if e.src_tags[i] == Some(producer) {
                         e.operands[i] = Some(value);
                         e.src_tags[i] = None;
                         self.work_this_cycle += 1;
                         self.sched.wakeup_broadcasts += 1;
+                        slots -= 1;
+                        woken = true;
                     }
                 }
-                if e.status == Status::Waiting && e.operands_ready() {
-                    self.ready.insert(consumer);
+                if woken && e.status == Status::Waiting && e.operands_ready() {
+                    self.ready.insert(e.seq);
                 }
             }
         }
+        self.pending_wakeup.clear();
     }
 
     // ------------------------------------------------------------------
@@ -573,15 +638,17 @@ impl<'a> Executor<'a> {
 
     fn issue(&mut self) {
         let mut issued = 0;
-        // The ready queue iterates oldest-first, mirroring the seed
-        // executor's ascending ROB scan. Entries that fail their issue
-        // check (blocked loads, a non-head rdtsc) stay queued and are
-        // retried on the next ticked cycle.
-        let candidates: Vec<Seq> = self.ready.iter().copied().collect();
-        for seq in candidates {
-            if issued >= self.config.issue_width {
+        // The cursor walks the ready queue oldest-first, mirroring the
+        // seed executor's ascending ROB scan. Entries that fail their
+        // issue check (blocked loads, a non-head rdtsc) stay queued and
+        // are retried on the next ticked cycle; issuing never adds to
+        // the queue, so the walk sees exactly the queue it started on.
+        let mut cursor = 0;
+        while issued < self.config.issue_width {
+            let Some(seq) = self.ready.first_at_or_after(cursor) else {
                 break;
-            }
+            };
+            cursor = seq + 1;
             let pos = self.rob_pos(seq).expect("ready entries are in the ROB");
             let inst = self.rob[pos].inst;
             let ok = match inst {
@@ -601,7 +668,7 @@ impl<'a> Executor<'a> {
             };
             if ok {
                 issued += 1;
-                self.ready.remove(&seq);
+                self.ready.remove(seq);
                 self.work_this_cycle += 1;
                 self.sched.issue_slots += 1;
                 let e = &self.rob[self.rob_pos(seq).expect("just issued")];
@@ -683,7 +750,7 @@ impl<'a> Executor<'a> {
         e.result = Some(e.operands[1].expect("ready operand"));
         e.status = Status::Executing;
         e.done_at = Some(self.cycle + self.config.alu_latency);
-        self.unissued_stores.remove(&self.rob[idx].seq);
+        self.unissued_stores.remove(self.rob[idx].seq);
         true
     }
 
@@ -705,11 +772,9 @@ impl<'a> Executor<'a> {
         // Memory ordering: wait until every older store knows its address
         // and no older flush is still in flight (flushes order younger
         // loads so that attack code like `flush(x); r = x` reliably
-        // misses, as the PoCs require). Both conditions are range queries
-        // on the order indices — no ROB scan on the retry path.
-        if self.unissued_stores.range(..seq).next().is_some()
-            || self.flushes_in_rob.range(..seq).next().is_some()
-        {
+        // misses, as the PoCs require). Both conditions are queries on
+        // the seq sets — no ROB scan on the retry path.
+        if self.unissued_stores.any_older_than(seq) || self.flushes_in_rob.any_older_than(seq) {
             return false;
         }
         let Inst::Load { offset, .. } = self.rob[idx].inst else {
@@ -738,8 +803,7 @@ impl<'a> Executor<'a> {
         }
         // D-type shadow: an older load with an unverified prediction makes
         // this access speculative; suppress its cache fill until commit.
-        let shadowed =
-            self.config.delay_side_effects && self.unverified.range(..seq).next().is_some();
+        let shadowed = self.config.delay_side_effects && self.unverified.any_older_than(seq);
         let outcome = if shadowed {
             self.mem.read_no_fill(addr)
         } else {
@@ -790,7 +854,7 @@ impl<'a> Executor<'a> {
                 e.done_at = Some(self.cycle + outcome.latency);
                 e.load_origin = Some(LoadOrigin::Memory);
                 // Train once the data arrives (complete phase).
-                self.pending_train.insert(seq, (ctx, outcome.value));
+                e.owes_train = true;
             }
         }
         true
@@ -832,12 +896,12 @@ impl<'a> Executor<'a> {
                     None => e.operands[i] = Some(self.regs.read(r)),
                     Some(tag) => {
                         let pos = self.rob_pos(tag).expect("RAT points at a live producer");
-                        let producer = &self.rob[pos];
+                        let producer = &mut self.rob[pos];
                         if producer.result_available(self.cycle) {
                             e.operands[i] = producer.result;
                         } else {
                             e.src_tags[i] = Some(tag);
-                            self.consumers.entry(tag).or_default().push(e.seq);
+                            producer.waiting_slots += 1;
                         }
                     }
                 }
@@ -945,7 +1009,7 @@ impl<'a> Executor<'a> {
                     let addr = e.addr.expect("committed flush has an address");
                     let cost = self.mem.flush_line(addr);
                     self.commit_stall_until = self.cycle + cost;
-                    self.flushes_in_rob.remove(&e.seq);
+                    self.flushes_in_rob.remove(e.seq);
                 }
                 Inst::Rdtsc { .. } => {
                     self.rdtsc_values.push(e.result.expect("rdtsc result"));
@@ -991,99 +1055,4 @@ impl<'a> Executor<'a> {
             }
         }
     }
-}
-
-/// Run `program` to completion on the given memory system and predictor.
-///
-/// This is the low-level entry point; most callers use
-/// [`Machine`](crate::Machine), which owns the persistent state.
-///
-/// # Errors
-///
-/// Returns [`RunError::CycleLimitExceeded`] if the program does not halt
-/// within `config.max_cycles`, and [`RunError::FetchPastEnd`] if control
-/// flow leaves the program (the [`ProgramBuilder`] guarantees a `halt`
-/// exists, but not that it is reached).
-///
-/// [`ProgramBuilder`]: vpsim_isa::ProgramBuilder
-pub fn run_program(
-    config: CoreConfig,
-    program: &Program,
-    pid: u32,
-    mem: &mut MemoryHierarchy,
-    vp: &mut dyn ValuePredictor,
-) -> Result<RunResult, RunError> {
-    Executor::new(config, program, pid, mem, vp, None, None, None).run()
-}
-
-/// [`run_program`] with a pipeline-side fault injector attached. The
-/// injector's stream advances across calls, so successive programs on
-/// one machine see one continuous noise process.
-///
-/// # Errors
-///
-/// Same as [`run_program`].
-pub fn run_program_chaos(
-    config: CoreConfig,
-    program: &Program,
-    pid: u32,
-    mem: &mut MemoryHierarchy,
-    vp: &mut dyn ValuePredictor,
-    chaos: Option<&mut PipeChaos>,
-) -> Result<RunResult, RunError> {
-    Executor::new(config, program, pid, mem, vp, chaos, None, None).run()
-}
-
-/// [`run_program_chaos`] under a [`CancelToken`]: the executor polls the
-/// token at scheduler loop boundaries (amortised, never mid-phase) and
-/// returns [`RunError::Cancelled`] promptly after a trip. An untripped
-/// token changes nothing — the poll is a pure read — so supervised runs
-/// are bit-identical to unsupervised ones.
-///
-/// # Errors
-///
-/// Same as [`run_program`], plus [`RunError::Cancelled`] when `cancel`
-/// is tripped before the program halts.
-pub fn run_program_supervised(
-    config: CoreConfig,
-    program: &Program,
-    pid: u32,
-    mem: &mut MemoryHierarchy,
-    vp: &mut dyn ValuePredictor,
-    chaos: Option<&mut PipeChaos>,
-    cancel: Option<&CancelToken>,
-) -> Result<RunResult, RunError> {
-    Executor::new(config, program, pid, mem, vp, chaos, cancel, None).run()
-}
-
-/// [`run_program_supervised`] with a [`TraceSink`] attached: pipeline,
-/// memory-hierarchy and predictor events are cycle-stamped into `sink`
-/// as the run executes. Component-side tracing is enabled for the
-/// duration of the call and always disabled again (dropping any
-/// partial buffers) before returning, including on error paths.
-///
-/// Tracing is purely observational — the returned [`RunResult`] is
-/// bit-identical to an untraced run of the same `(program, config,
-/// seed)`.
-///
-/// # Errors
-///
-/// Same as [`run_program_supervised`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_program_traced(
-    config: CoreConfig,
-    program: &Program,
-    pid: u32,
-    mem: &mut MemoryHierarchy,
-    vp: &mut dyn ValuePredictor,
-    chaos: Option<&mut PipeChaos>,
-    cancel: Option<&CancelToken>,
-    sink: &mut dyn TraceSink,
-) -> Result<RunResult, RunError> {
-    mem.set_tracing(true);
-    vp.set_tracing(true);
-    let result = Executor::new(config, program, pid, mem, vp, chaos, cancel, Some(sink)).run();
-    mem.set_tracing(false);
-    vp.set_tracing(false);
-    result
 }

@@ -54,9 +54,9 @@ mod dyninst;
 mod executor;
 mod machine;
 mod result;
+mod seqset;
 
 pub use cancel::CancelToken;
 pub use config::{ConfigError, CoreConfig};
-pub use executor::{run_program, run_program_chaos, run_program_supervised, run_program_traced};
 pub use machine::Machine;
 pub use result::{CommitEvent, RunError, RunResult, RunStats, SchedStats};

@@ -9,11 +9,12 @@
 use vpsim_chaos::{ChaosConfig, ChaosEvents, MemChaos, PipeChaos};
 use vpsim_isa::Program;
 use vpsim_mem::{MemoryConfig, MemoryHierarchy};
+use vpsim_obs::TraceSink;
 use vpsim_predictor::{ChaoticPredictor, NoPredictor, ValuePredictor};
 
 use crate::cancel::CancelToken;
 use crate::config::CoreConfig;
-use crate::executor::{run_program_supervised, run_program_traced};
+use crate::executor::{Executor, Scratch};
 use crate::result::{RunError, RunResult};
 
 /// A simulated core plus its persistent memory system and VPS.
@@ -29,6 +30,9 @@ pub struct Machine {
     /// Cooperative kill flag threaded into every run (see
     /// [`Machine::set_cancel`]).
     cancel: Option<CancelToken>,
+    /// The executor's ROB, event heaps and seq sets, reused by every run
+    /// (each run clears them first).
+    scratch: Scratch,
 }
 
 impl Machine {
@@ -52,6 +56,7 @@ impl Machine {
             chaos: None,
             pred_chaos_installed: false,
             cancel: None,
+            scratch: Scratch::with_capacity(core.rob_entries),
         }
     }
 
@@ -109,21 +114,16 @@ impl Machine {
     /// budget, control flow escapes the instruction stream, or an
     /// installed [`CancelToken`] is tripped mid-run.
     pub fn run(&mut self, pid: u32, program: &Program) -> Result<RunResult, RunError> {
-        run_program_supervised(
-            self.core,
-            program,
-            pid,
-            &mut self.mem,
-            self.predictor.as_mut(),
-            self.chaos.as_mut(),
-            self.cancel.as_ref(),
-        )
+        self.execute(pid, program, None)
     }
 
     /// [`Machine::run`] with a trace sink attached: every pipeline,
     /// memory-hierarchy and predictor event is cycle-stamped into
     /// `sink`. The returned result is bit-identical to an untraced
     /// [`Machine::run`] of the same program on the same machine state.
+    /// Component-side tracing is on only for the duration of the call;
+    /// it is switched off again (dropping any partial buffers) on every
+    /// return path.
     ///
     /// # Errors
     ///
@@ -132,9 +132,23 @@ impl Machine {
         &mut self,
         pid: u32,
         program: &Program,
-        sink: &mut dyn vpsim_obs::TraceSink,
+        sink: &mut dyn TraceSink,
     ) -> Result<RunResult, RunError> {
-        run_program_traced(
+        self.mem.set_tracing(true);
+        self.predictor.set_tracing(true);
+        let result = self.execute(pid, program, Some(sink));
+        self.mem.set_tracing(false);
+        self.predictor.set_tracing(false);
+        result
+    }
+
+    fn execute<'a>(
+        &'a mut self,
+        pid: u32,
+        program: &'a Program,
+        tracer: Option<&'a mut dyn TraceSink>,
+    ) -> Result<RunResult, RunError> {
+        Executor::new(
             self.core,
             program,
             pid,
@@ -142,8 +156,10 @@ impl Machine {
             self.predictor.as_mut(),
             self.chaos.as_mut(),
             self.cancel.as_ref(),
-            sink,
+            tracer,
+            &mut self.scratch,
         )
+        .run()
     }
 
     /// The core configuration.

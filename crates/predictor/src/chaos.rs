@@ -115,7 +115,7 @@ impl ValuePredictor for ChaoticPredictor {
     fn set_tracing(&mut self, on: bool) {
         self.trace_enabled = on;
         if !on {
-            self.trace_buf = Vec::new();
+            self.trace_buf.clear();
         }
         self.inner.set_tracing(on);
     }

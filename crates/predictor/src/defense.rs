@@ -14,9 +14,7 @@
 //!   changes when cache fills happen, not what is predicted); the
 //!   [`DefenseSpec`] here carries the flag to the pipeline configuration.
 
-use std::collections::HashMap;
-
-use vpsim_rng::SmallRng;
+use vpsim_rng::{SmallRng, U64Map};
 
 use crate::index::IndexConfig;
 use crate::stats::PredictorStats;
@@ -43,7 +41,7 @@ pub struct AlwaysPredict<P> {
     mode: AlwaysMode,
     index: IndexConfig,
     /// Last observed value per index, for [`AlwaysMode::History`].
-    last_seen: HashMap<u64, u64>,
+    last_seen: U64Map<u64>,
     forced: u64,
 }
 
@@ -57,7 +55,7 @@ impl<P: ValuePredictor> AlwaysPredict<P> {
             inner,
             mode,
             index,
-            last_seen: HashMap::new(),
+            last_seen: U64Map::default(),
             forced: 0,
         }
     }

@@ -10,7 +10,7 @@
 //! unchanged, reinforcing the §IV-D3 point that the leak is inherent to
 //! value prediction, not to one predictor design.
 
-use std::collections::HashMap;
+use vpsim_rng::U64Map;
 
 use crate::index::IndexConfig;
 use crate::stats::PredictorStats;
@@ -65,8 +65,8 @@ struct ContextEntry {
 #[derive(Debug)]
 pub struct Fcm {
     config: FcmConfig,
-    level1: HashMap<u64, HistoryEntry>,
-    level2: HashMap<u64, ContextEntry>,
+    level1: U64Map<HistoryEntry>,
+    level2: U64Map<ContextEntry>,
     stats: PredictorStats,
     next_seq: u64,
 }
@@ -87,8 +87,8 @@ impl Fcm {
         );
         Fcm {
             config,
-            level1: HashMap::new(),
-            level2: HashMap::new(),
+            level1: U64Map::default(),
+            level2: U64Map::default(),
             stats: PredictorStats::default(),
             next_seq: 0,
         }

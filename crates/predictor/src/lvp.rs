@@ -10,7 +10,7 @@
 //! confidence to zero (this is exactly what the Train + Test attack's
 //! 1-access modify step exploits to force a *no prediction* outcome).
 
-use std::collections::HashMap;
+use vpsim_rng::U64Map;
 
 use crate::index::IndexConfig;
 use crate::stats::PredictorStats;
@@ -78,7 +78,7 @@ pub struct LvpEntryView {
 #[derive(Debug)]
 pub struct Lvp {
     config: LvpConfig,
-    table: HashMap<u64, Entry>,
+    table: U64Map<Entry>,
     stats: PredictorStats,
     next_seq: u64,
 }
@@ -100,7 +100,7 @@ impl Lvp {
         assert!(config.capacity >= 1, "capacity must be >= 1");
         Lvp {
             config,
-            table: HashMap::new(),
+            table: U64Map::default(),
             stats: PredictorStats::default(),
             next_seq: 0,
         }

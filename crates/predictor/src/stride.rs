@@ -8,7 +8,7 @@
 //! works on an LVP also works here — demonstrating the paper's point that
 //! the leak is a property of the VPS concept, not one predictor design.
 
-use std::collections::HashMap;
+use vpsim_rng::U64Map;
 
 use crate::index::IndexConfig;
 use crate::stats::PredictorStats;
@@ -54,7 +54,7 @@ struct Entry {
 #[derive(Debug)]
 pub struct Stride {
     config: StrideConfig,
-    table: HashMap<u64, Entry>,
+    table: U64Map<Entry>,
     stats: PredictorStats,
     next_seq: u64,
 }
@@ -71,7 +71,7 @@ impl Stride {
         assert!(config.capacity >= 1, "capacity must be >= 1");
         Stride {
             config,
-            table: HashMap::new(),
+            table: U64Map::default(),
             stats: PredictorStats::default(),
             next_seq: 0,
         }

@@ -184,9 +184,79 @@ impl UniformRange for std::ops::Range<i64> {
     }
 }
 
+/// A fixed multiply-shift hasher for the simulator's `u64`-keyed maps
+/// (backing-store pages, predictor tables). It hashes one word in a
+/// multiply and a fold, where std's default SipHash with a per-process
+/// random key costs an order of magnitude more on these hot paths.
+///
+/// It is deterministic, but nothing may depend on that: the maps used
+/// `RandomState` before, so their iteration order already differed from
+/// process to process, and a result that depended on it would have
+/// broken the byte identity between the thread and process backends.
+/// Every read is a keyed lookup, and every scan (predictor eviction)
+/// takes a minimum over a key that is unique per entry.
+///
+/// It has no resistance to keys crafted to collide. The keys are
+/// simulated addresses and PCs of programs the simulator builds itself,
+/// never raw input from outside the program.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct U64Hasher(u64);
+
+/// The odd 64-bit constant of Fibonacci hashing (2^64 / φ).
+const GOLDEN_GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
+
+impl std::hash::Hasher for U64Hasher {
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(GOLDEN_GAMMA);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    /// Folds the high half into the low bits, which pick the bucket. The
+    /// multiply carries each key bit upward only, so without the fold,
+    /// keys that share their low bits (aligned PCs) would share a bucket.
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
+/// The [`BuildHasher`](std::hash::BuildHasher) of [`U64Hasher`].
+pub type BuildU64Hasher = std::hash::BuildHasherDefault<U64Hasher>;
+
+/// A `u64`-keyed hash map on [`U64Hasher`].
+pub type U64Map<V> = std::collections::HashMap<u64, V, BuildU64Hasher>;
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn u64_hasher_is_fixed_and_spreads_aligned_keys() {
+        use std::hash::BuildHasher;
+        let build = BuildU64Hasher::default();
+        assert_eq!(
+            build.hash_one(0x40u64),
+            BuildU64Hasher::default().hash_one(0x40u64)
+        );
+        // Word-aligned PCs (low bits zero) must still reach every one of
+        // 64 buckets picked by the low six bits.
+        let buckets: std::collections::HashSet<u64> =
+            (0..1024u64).map(|pc| build.hash_one(pc * 8) & 63).collect();
+        assert_eq!(buckets.len(), 64);
+        let mut map = U64Map::default();
+        for k in 0..10_000u64 {
+            map.insert(k << 12, k);
+        }
+        assert!((0..10_000u64).all(|k| map[&(k << 12)] == k));
+    }
 
     #[test]
     fn same_seed_same_stream() {
